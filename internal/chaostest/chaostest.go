@@ -639,7 +639,7 @@ func Check(t *testing.T, h *Result) {
 	}
 
 	if h.Pending != 0 {
-		fail("event loop still holds %d timers after quiesce", h.Pending)
+		fail("event loop still holds %d live timers after quiesce", h.Pending)
 	}
 
 	for dir, ls := range map[string]netsim.LinkStats{"h1→h2": h.L12, "h2→h1": h.L21} {

@@ -11,7 +11,7 @@ import (
 
 func TestFigure4Shape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("figure 4 takes ~1 min")
+		t.Skip("figure 4 takes ~160 s on a 2-vCPU machine")
 	}
 	rows := RunFigure4(Figure4Config{Warmup: 400 * time.Millisecond, Window: 200 * time.Millisecond})
 	if len(rows) != 3 {
@@ -44,7 +44,7 @@ func TestFigure4Shape(t *testing.T) {
 
 func TestFigure5Shape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("figure 5 takes ~30s")
+		t.Skip("figure 5 takes ~1.5 s on a 2-vCPU machine")
 	}
 	// Longer-than-paper measurement (30 s vs 10 s) to smooth the
 	// variance of individual loss realizations.
@@ -125,7 +125,7 @@ func TestShmChannelShape(t *testing.T) {
 
 func TestNotifyAblationShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ablation takes ~20s")
+		t.Skip("ablation takes ~7 s on a 2-vCPU machine")
 	}
 	rows := RunNotifyAblation()
 	for _, r := range rows {
@@ -140,7 +140,7 @@ func TestNotifyAblationShape(t *testing.T) {
 
 func TestPriorityAblationShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ablation takes ~20s")
+		t.Skip("ablation takes ~2 s on a 2-vCPU machine")
 	}
 	rows := RunPriorityAblation()
 	for _, r := range rows {
@@ -154,7 +154,7 @@ func TestPriorityAblationShape(t *testing.T) {
 
 func TestFormAblationShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ablation takes ~20s")
+		t.Skip("ablation takes ~7 s on a 2-vCPU machine")
 	}
 	rows := RunFormAblation()
 	for _, r := range rows {
@@ -178,7 +178,7 @@ func TestFormAblationShape(t *testing.T) {
 
 func TestMuxAblationShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ablation takes ~30s")
+		t.Skip("ablation takes ~7 s on a 2-vCPU machine")
 	}
 	rows := RunMuxAblation()
 	for _, r := range rows {
@@ -202,7 +202,7 @@ func TestMuxAblationShape(t *testing.T) {
 
 func TestSyncAblationShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ablation takes ~10s")
+		t.Skip("ablation takes ~3 s on a 2-vCPU machine")
 	}
 	rows := RunSyncAblation()
 	for _, r := range rows {
@@ -216,7 +216,7 @@ func TestSyncAblationShape(t *testing.T) {
 
 func TestScaleOutAblationShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ablation takes ~30s")
+		t.Skip("ablation takes ~13 s on a 2-vCPU machine")
 	}
 	rows := RunScaleOutAblation()
 	for _, r := range rows {
@@ -238,7 +238,7 @@ func TestScaleOutAblationShape(t *testing.T) {
 // oversized writes). CI's bench-smoke job runs exactly this test.
 func TestCopyBudgetGate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("copy-budget echo takes ~30s")
+		t.Skip("copy-budget echo takes ~8 s on a 2-vCPU machine")
 	}
 	res := RunCopyBudget(CopyBudgetConfig{
 		Warmup: 100 * time.Millisecond,
@@ -273,7 +273,7 @@ func TestCopyBudgetGate(t *testing.T) {
 // scaleout-smoke job runs exactly this test.
 func TestScaleoutGate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("scale-out pair takes ~60s")
+		t.Skip("scale-out pair takes ~3.5 s on a 2-vCPU machine")
 	}
 	// Baselines from BENCH_scaleout.json (seed 4242, 8 VMs × 4 flows,
 	// 4-core NSMs, 50 ms warmup + 50 ms window).
@@ -397,7 +397,7 @@ func TestRPCShapeShort(t *testing.T) {
 // informational, not gated, because sampled tracing is opt-in.
 func TestTraceOverheadGate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("overhead echo pair takes ~60s")
+		t.Skip("overhead echo pair takes ~14 s on a 2-vCPU machine")
 	}
 	// PR 3 baseline from BENCH_echo.json with the identical
 	// configuration (100 ms warmup + 100 ms window, seed 4242).

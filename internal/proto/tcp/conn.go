@@ -45,7 +45,8 @@ func (a AddrPort) String() string { return fmt.Sprintf("%v:%d", a.Addr, a.Port) 
 // OutputFunc transmits one segment. The connection fills in ports,
 // sequence numbers and options; the caller (the stack) wraps it in
 // IP + Ethernet and hands it to the NIC. ecnCapable asks for ECT(0)
-// marking on the IP header.
+// marking on the IP header. The header (its SACK blocks included) and
+// the payload are valid only for the duration of the call.
 type OutputFunc func(h *Header, payload []byte, ecnCapable bool)
 
 // Config parameterizes a connection.
@@ -200,8 +201,25 @@ type Conn struct {
 	srtt     time.Duration
 	rttvar   time.Duration
 	rtoTimer sim.Timer
-	inflight []*segMeta
 	backoff  int
+
+	// The SACK scoreboard. inflight[inflightHead:] holds one entry per
+	// transmitted segment not yet cumulatively acked, in sequence
+	// order: each is sent at sndNxt, which rewinds only once the list
+	// is empty. Cumulative ACKs advance inflightHead and appends reclaim
+	// the dead prefix. sackedBytes and sackHigh summarize the sacked
+	// entries (Linux's sacked_out), so outstanding() and the SACK loss
+	// threshold cost O(1) per ACK instead of a scan of the window.
+	inflight     []segMeta
+	inflightHead int
+	sackedBytes  int    // payload bytes of sacked entries
+	sackHigh     uint32 // highest sacked end; valid while sackedBytes > 0
+	// rtxHint is where sackRetransmit resumes its walk (Linux's
+	// retransmit hint). Every entry in [inflightHead, rtxHint) is
+	// sacked or was retransmitted at or after rtxOldest, so while
+	// rtxOldest is younger than one RTO none of them can be resent.
+	rtxHint   int
+	rtxOldest sim.Time
 
 	// Recovery (NewReno + SACK-lite).
 	dupAcks    int
@@ -210,10 +228,8 @@ type Conn struct {
 	lastAckSeq uint32
 
 	// Rate sampling (for BBR).
-	delivered     uint64
-	deliveredAt   sim.Time // when the delivered counter last advanced
-	appLtdUntil   uint64
-	pendingSample tcpcc.AckSample
+	delivered   uint64
+	deliveredAt sim.Time // when the delivered counter last advanced
 
 	// Receive sequence state.
 	irs      uint32
@@ -221,6 +237,7 @@ type Conn struct {
 	rcvBuf   *byteRing
 	sink     func(p []byte) int
 	ooo      []oooSeg
+	oooRuns  []oooRun // ooo coalesced into SACK runs, kept incrementally
 	oooBytes int
 	finRcvd  bool
 
@@ -228,6 +245,7 @@ type Conn struct {
 	delackTimer  sim.Timer
 	lastOOOSeq   uint32 // seq of the most recent out-of-order arrival
 	sackRotate   uint32 // rotates secondary SACK blocks across runs
+	sackOut      [MaxSACKBlocks]SACKBlock
 	unackedSegs  int
 	lastAdvWnd   int
 	lastDataCE   bool
@@ -720,12 +738,10 @@ func (c *Conn) acceptInOrder(payload []byte, fin bool) {
 	}
 	// Merge out-of-order runs.
 	for len(c.ooo) > 0 {
-		s := c.ooo[0]
-		if seqGT(s.seq, c.rcvNxt) {
+		if seqGT(c.ooo[0].seq, c.rcvNxt) {
 			break
 		}
-		c.ooo = c.ooo[1:]
-		c.oooBytes -= len(s.data)
+		s := c.popOOO()
 		skip := seqDiff(c.rcvNxt, s.seq)
 		if skip < 0 || skip > len(s.data) {
 			continue
@@ -811,22 +827,6 @@ func (c *Conn) handleFIN() {
 	}
 }
 
-func (c *Conn) insertOOO(s oooSeg) {
-	i := 0
-	for ; i < len(c.ooo); i++ {
-		if seqLT(s.seq, c.ooo[i].seq) {
-			break
-		}
-		if s.seq == c.ooo[i].seq {
-			return // duplicate
-		}
-	}
-	c.ooo = append(c.ooo, oooSeg{})
-	copy(c.ooo[i+1:], c.ooo[i:])
-	c.ooo[i] = s
-	c.oooBytes += len(s.data)
-}
-
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.stopRTO()
@@ -861,43 +861,6 @@ func (c *Conn) TimeWaitRemaining() time.Duration {
 // its ISS beyond it so the peer's lingering state cannot confuse old
 // and new segments (RFC 6191-flavoured).
 func (c *Conn) FinalSeq() uint32 { return c.sndMax }
-
-// sackBlocks builds up to MaxSACKBlocks from the out-of-order queue.
-// Per RFC 2018 the first block is the one containing the most recently
-// received segment; the remaining slots rotate through the other runs
-// so that, over a stream of ACKs, the sender's scoreboard learns about
-// every hole — reporting only the lowest runs would leave everything
-// above the front invisible and stall SACK recovery.
-func (c *Conn) sackBlocks() []SACKBlock {
-	if !c.sackOK || len(c.ooo) == 0 {
-		return nil
-	}
-	// Coalesce the (sorted) queue into contiguous runs.
-	var runs []SACKBlock
-	newestRun := 0
-	for _, s := range c.ooo {
-		start, end := s.seq, s.seq+uint32(len(s.data))
-		if n := len(runs); n > 0 && runs[n-1].End == start {
-			runs[n-1].End = end
-		} else {
-			runs = append(runs, SACKBlock{Start: start, End: end})
-		}
-		if seqLEQ(runs[len(runs)-1].Start, c.lastOOOSeq) && seqLT(c.lastOOOSeq, runs[len(runs)-1].End) {
-			newestRun = len(runs) - 1
-		}
-	}
-	blocks := make([]SACKBlock, 0, MaxSACKBlocks)
-	blocks = append(blocks, runs[newestRun])
-	for i := 1; i < len(runs) && len(blocks) < MaxSACKBlocks; i++ {
-		idx := (newestRun + int(c.sackRotate) + i) % len(runs)
-		if idx == newestRun {
-			continue
-		}
-		blocks = append(blocks, runs[idx])
-	}
-	c.sackRotate++
-	return blocks
-}
 
 func (c *Conn) advertisedWindow() uint16 {
 	w := c.rcvBuf.Free() >> c.ourWScale
@@ -983,7 +946,7 @@ func (c *Conn) DebugOutstanding() int { return c.outstanding() }
 func (c *Conn) DebugSndWnd() int { return c.sndWnd }
 
 // DebugInflightLen returns tracked in-flight segment count.
-func (c *Conn) DebugInflightLen() int { return len(c.inflight) }
+func (c *Conn) DebugInflightLen() int { return len(c.segs()) }
 
 // DebugRcvBufLen returns buffered in-order bytes.
 func (c *Conn) DebugRcvBufLen() int { return c.rcvBuf.Len() }

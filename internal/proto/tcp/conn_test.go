@@ -15,7 +15,7 @@ import (
 // Every segment round-trips through Marshal/Parse, so these tests cover
 // the wire format under the state machine too.
 type testNet struct {
-	t     *testing.T
+	t     testing.TB
 	loop  *sim.Loop
 	delay time.Duration
 
@@ -30,7 +30,7 @@ type testNet struct {
 	segsAB, segsBA int
 }
 
-func newTestNet(t *testing.T) *testNet {
+func newTestNet(t testing.TB) *testNet {
 	return &testNet{
 		t:     t,
 		loop:  sim.NewLoop(),

@@ -3,6 +3,7 @@ package tcp
 import (
 	"time"
 
+	"netkernel/internal/sim"
 	"netkernel/internal/tcpcc"
 )
 
@@ -89,7 +90,7 @@ func (c *Conn) processNewAck(h *Header, ack uint32, ece bool) {
 	c.dupAcks = 0
 	c.backoff = 0
 
-	rttSeg, newlyDelivered := c.clearInflightUpTo(ack)
+	rttSeg, sampled, newlyDelivered := c.clearInflightUpTo(ack)
 	if newlyDelivered > 0 {
 		// Bytes SACKed earlier were already counted delivered; only
 		// fresh ones advance the rate-sampling counter here.
@@ -101,7 +102,7 @@ func (c *Conn) processNewAck(h *Header, ack uint32, ece bool) {
 	// recovery is skipped too, because segments that sat behind a hole
 	// for the length of the recovery would poison the estimator.
 	var rtt time.Duration
-	if rttSeg != nil && !rttSeg.retransmitted && !c.inRecovery {
+	if sampled && !rttSeg.retransmitted && !c.inRecovery {
 		rtt = now.Sub(rttSeg.sentAt)
 		c.updateRTT(rtt)
 	}
@@ -141,7 +142,7 @@ func (c *Conn) processNewAck(h *Header, ack uint32, ece bool) {
 	if ece {
 		s.MarkedBytes = payloadAcked
 	}
-	if rttSeg != nil {
+	if sampled {
 		s.AppLimited = rttSeg.appLimited
 		if !rttSeg.retransmitted {
 			// Rate sample over the delivered-counter timeline (BBR's
@@ -225,14 +226,9 @@ func max4(v, floor time.Duration) time.Duration {
 // outstanding returns the bytes in flight: sent but neither cumulatively
 // acked nor selectively acked.
 func (c *Conn) outstanding() int {
-	out := seqDiff(c.sndNxt, c.sndUna)
+	out := seqDiff(c.sndNxt, c.sndUna) - c.sackedBytes
 	if c.finSent {
 		out--
-	}
-	for _, s := range c.inflight {
-		if s.sacked {
-			out -= s.length
-		}
 	}
 	if out < 0 {
 		out = 0
@@ -240,15 +236,47 @@ func (c *Conn) outstanding() int {
 	return out
 }
 
-// clearInflightUpTo removes fully-acked segments, returning the newest
-// one (for RTT/rate sampling) and the payload bytes that had not
-// already been counted delivered via SACK.
-func (c *Conn) clearInflightUpTo(ack uint32) (*segMeta, int) {
-	var newest *segMeta
-	fresh := 0
+// segs returns the live scoreboard entries, oldest first.
+func (c *Conn) segs() []segMeta { return c.inflight[c.inflightHead:] }
+
+// trackSeg appends a transmitted segment to the scoreboard. When the
+// backing array is full and at least half of it is acknowledged
+// prefix, the live entries move down instead of growing the array, so
+// appends stay amortized O(1) without allocating per segment.
+func (c *Conn) trackSeg(m segMeta) {
+	if len(c.inflight) == cap(c.inflight) && c.inflightHead > 0 && c.inflightHead >= len(c.inflight)/2 {
+		n := copy(c.inflight, c.segs())
+		c.inflight = c.inflight[:n]
+		c.rtxHint = max(c.rtxHint-c.inflightHead, 0)
+		c.inflightHead = 0
+	}
+	c.inflight = append(c.inflight, m)
+	if m.sacked {
+		c.markSacked(&c.inflight[len(c.inflight)-1])
+	}
+}
+
+// markSacked counts an entry as selectively acknowledged. Entries are
+// in sequence order and never overlap, so their ends ascend and the
+// newest sacked end is the highest.
+func (c *Conn) markSacked(s *segMeta) {
+	s.sacked = true
+	end := s.seq + uint32(s.length)
+	if c.sackedBytes == 0 || seqGT(end, c.sackHigh) {
+		c.sackHigh = end
+	}
+	c.sackedBytes += s.length
+}
+
+// clearInflightUpTo removes fully-acked segments, returning a copy of
+// the newest one (for RTT/rate sampling; ok is false when none was
+// removed) and the payload bytes that had not already been counted
+// delivered via SACK.
+func (c *Conn) clearInflightUpTo(ack uint32) (newest segMeta, ok bool, fresh int) {
+	segs := c.segs()
 	i := 0
-	for ; i < len(c.inflight); i++ {
-		s := c.inflight[i]
+	for ; i < len(segs); i++ {
+		s := &segs[i]
 		end := s.seq + uint32(s.length)
 		if s.fin {
 			end++
@@ -256,15 +284,25 @@ func (c *Conn) clearInflightUpTo(ack uint32) (*segMeta, int) {
 		if seqGT(end, ack) {
 			break
 		}
-		if !s.sacked {
+		if s.sacked {
+			c.sackedBytes -= s.length
+		} else {
 			fresh += s.length
 		}
-		newest = s
 	}
-	if i > 0 {
-		c.inflight = append(c.inflight[:0], c.inflight[i:]...)
+	if i == 0 {
+		return segMeta{}, false, 0
 	}
-	return newest, fresh
+	newest = segs[i-1]
+	c.inflightHead += i
+	if c.inflightHead == len(c.inflight) {
+		c.inflight = c.inflight[:0]
+		c.inflightHead = 0
+		c.rtxHint = 0
+	}
+	// Removing a prefix keeps the last sacked entry whenever any sacked
+	// entry remains, so sackHigh stays exact.
+	return newest, true, fresh
 }
 
 // applySACK marks selectively-acknowledged segments so they are
@@ -276,25 +314,31 @@ func (c *Conn) applySACK(blocks []SACKBlock) {
 	if len(blocks) == 0 || !c.sackOK {
 		return
 	}
+	segs := c.segs()
 	for _, b := range blocks {
 		if seqGEQ(b.Start, b.End) {
 			continue
 		}
-		for _, s := range c.inflight {
+		// The entries covered by the block are a contiguous run: the
+		// first starting at or after b.Start, up to the last ending at
+		// or before b.End (ends ascend with starts).
+		for i := searchSeq(len(segs), func(i int) uint32 { return segs[i].seq }, b.Start); i < len(segs); i++ {
+			s := &segs[i]
+			if seqGT(s.seq+uint32(s.length), b.End) {
+				break
+			}
 			// A zero-length (FIN-only) segment is never SACK-covered: its
 			// degenerate interval fits inside any block whose End touches
 			// finSeq, but a receiver that SACKs the final data segment has
 			// said nothing about the FIN. Marking it sacked here wedges the
 			// close — retransmitFront skips sacked segments and trySend
 			// refuses to run post-FIN, so every RTO becomes a no-op.
-			if s.length == 0 {
+			if s.length == 0 || s.sacked {
 				continue
 			}
-			if !s.sacked && seqGEQ(s.seq, b.Start) && seqLEQ(s.seq+uint32(s.length), b.End) {
-				s.sacked = true
-				c.delivered += uint64(s.length)
-				c.deliveredAt = c.cfg.Clock.Now()
-			}
+			c.markSacked(s)
+			c.delivered += uint64(s.length)
+			c.deliveredAt = c.cfg.Clock.Now()
 		}
 	}
 }
@@ -310,16 +354,18 @@ func (c *Conn) enterRecovery() {
 
 // retransmitFront resends the first unsacked hole.
 func (c *Conn) retransmitFront() {
-	for _, s := range c.inflight {
-		if s.sacked {
-			continue
+	segs := c.segs()
+	for i := range segs {
+		if !segs[i].sacked {
+			c.retransmitSeg(&segs[i])
+			return
 		}
-		c.retransmitSeg(s)
-		return
 	}
 }
 
-// retransmitSeg resends one tracked segment.
+// retransmitSeg resends one tracked segment. s points into the
+// scoreboard and is not used after transmit, which may re-enter the
+// connection through a synchronous Output path.
 func (c *Conn) retransmitSeg(s *segMeta) {
 	c.stats.Retransmits++
 	if c.cfg.Retrans != nil {
@@ -376,23 +422,10 @@ func (c *Conn) retransmitSeg(s *segMeta) {
 // lets multi-loss windows on long-RTT paths recover in one round trip
 // instead of one hole per RTT.
 func (c *Conn) sackRetransmit(budget int) {
-	if !c.sackOK || len(c.inflight) == 0 {
+	if !c.sackOK || c.sackedBytes == 0 {
 		return
 	}
-	var hi uint32
-	found := false
-	for _, s := range c.inflight {
-		if s.sacked {
-			if end := s.seq + uint32(s.length); !found || seqGT(end, hi) {
-				hi = end
-				found = true
-			}
-		}
-	}
-	if !found {
-		return
-	}
-	lostBelow := hi - uint32(3*c.cfg.MSS) // dupThresh worth of headroom
+	lostBelow := c.sackHigh - uint32(3*c.cfg.MSS) // dupThresh worth of headroom
 	// RACK-style re-arming: a hole whose last transmission is older
 	// than about one RTT and still unacknowledged was lost again and
 	// may be resent. Without this, a lost retransmission leaves its
@@ -400,22 +433,37 @@ func (c *Conn) sackRetransmit(budget int) {
 	// away.
 	reXmitAfter := c.rto
 	now := c.cfg.Clock.Now()
-	for _, s := range c.inflight {
-		if budget == 0 {
-			return
-		}
+	i := c.rtxStart(now)
+	if i == c.inflightHead {
+		c.rtxOldest = now
+	}
+	for ; i < len(c.inflight) && budget > 0; i++ {
+		s := &c.inflight[i]
 		if s.sacked {
 			continue
 		}
 		if s.retransmitted && now.Sub(s.sentAt) < reXmitAfter {
+			if s.sentAt < c.rtxOldest {
+				c.rtxOldest = s.sentAt
+			}
 			continue
 		}
 		if seqGEQ(s.seq+uint32(s.length), lostBelow) {
-			return // ordered list: nothing further qualifies
+			break // ordered list: nothing further qualifies
 		}
 		c.retransmitSeg(s)
 		budget--
 	}
+	c.rtxHint = i
+}
+
+// rtxStart returns where sackRetransmit's walk begins: at the hint,
+// while no entry it skips can have come due for resending.
+func (c *Conn) rtxStart(now sim.Time) int {
+	if now.Sub(c.rtxOldest) >= c.rto {
+		return c.inflightHead
+	}
+	return max(c.rtxHint, c.inflightHead)
 }
 
 // trySend pushes as much data as the windows, pacing, and buffer allow.
@@ -492,15 +540,14 @@ func (c *Conn) trySend() {
 		if got == avail {
 			h.Flags |= FlagPSH
 		}
-		meta := &segMeta{
+		c.trackSeg(segMeta{
 			seq:                 c.sndNxt,
 			length:              got,
 			sentAt:              now,
 			deliveredAtSend:     c.delivered,
 			deliveredTimeAtSend: c.deliveredAt,
 			appLimited:          got == avail && cwndAvail-got > 0,
-		}
-		c.inflight = append(c.inflight, meta)
+		})
 		c.sndNxt += uint32(got)
 		c.sndMax = seqMax(c.sndMax, c.sndNxt)
 		c.unackedSegs = 0
@@ -522,7 +569,7 @@ func (c *Conn) emitFIN() {
 		Ack:    c.rcvNxt,
 		Window: c.advertisedWindow(),
 	}
-	c.inflight = append(c.inflight, &segMeta{
+	c.trackSeg(segMeta{
 		seq: c.sndNxt, length: 0, fin: true,
 		sentAt: c.cfg.Clock.Now(), deliveredAtSend: c.delivered,
 	})
@@ -587,14 +634,15 @@ func (c *Conn) onRTO() {
 	c.dupAcks = 0
 	c.paceNext = 0
 
-	if len(c.inflight) > 0 {
+	if segs := c.segs(); len(segs) > 0 {
 		// Standard RFC 6298 behaviour: retransmit the earliest
 		// outstanding segment and keep the SACK scoreboard. Clearing
 		// the retransmitted marks lets SACK-driven recovery resend
 		// holes whose earlier retransmission was itself lost.
-		for _, s := range c.inflight {
-			s.retransmitted = false
+		for i := range segs {
+			segs[i].retransmitted = false
 		}
+		c.rtxHint = 0
 		c.retransmitFront()
 		c.trySend()
 		c.armRTO()

@@ -176,7 +176,7 @@ func (c *Conn) Snapshot() *ConnSnapshot {
 		s.RecvBuf = make([]byte, n)
 		c.rcvBuf.Peek(s.RecvBuf, 0)
 	}
-	for _, m := range c.inflight {
+	for _, m := range c.segs() {
 		s.Inflight = append(s.Inflight, SegSnapshot{
 			Seq:                 m.seq,
 			Length:              m.length,
@@ -283,8 +283,7 @@ func Restore(cfg Config, s *ConnSnapshot) (*Conn, error) {
 	for _, o := range s.OOO {
 		data := make([]byte, len(o.Data))
 		copy(data, o.Data)
-		c.ooo = append(c.ooo, oooSeg{seq: o.Seq, data: data, fin: o.Fin})
-		c.oooBytes += len(data)
+		c.insertOOO(oooSeg{seq: o.Seq, data: data, fin: o.Fin})
 	}
 
 	c.lastOOOSeq = s.LastOOOSeq
@@ -296,7 +295,7 @@ func Restore(cfg Config, s *ConnSnapshot) (*Conn, error) {
 	c.paceNext = s.PaceNext
 
 	for _, m := range s.Inflight {
-		c.inflight = append(c.inflight, &segMeta{
+		c.trackSeg(segMeta{
 			seq:                 m.Seq,
 			length:              m.Length,
 			sentAt:              m.SentAt,

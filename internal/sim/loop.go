@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -10,17 +9,24 @@ import (
 // virtual time. Events scheduled for the same instant run in scheduling
 // order. Loop is not safe for concurrent use: everything that touches a
 // Loop must run either before Run/RunFor or from inside its callbacks.
+//
+// Pending events live in a 4-ary min-heap ordered by (at, seq), with
+// the key stored inline so sifting compares without dereferencing
+// events. Stop removes its event from the heap at once, so the heap
+// holds live events only: TCP re-arms its RTO on every segment, and
+// lazily marked timers would otherwise outnumber live ones many times
+// over.
 type Loop struct {
-	now    Time
-	events eventHeap
-	seq    uint64
-	free   []*event // recycled event structs
-	nrun   uint64
+	now  Time
+	heap []slot
+	seq  uint64
+	free []*event // recycled event structs
+	nrun uint64
 }
 
 // NewLoop returns an empty loop positioned at time zero.
 func NewLoop() *Loop {
-	return &Loop{events: make(eventHeap, 0, 1024)}
+	return &Loop{heap: make([]slot, 0, 1024)}
 }
 
 // Now returns the current virtual time.
@@ -30,8 +36,9 @@ func (l *Loop) Now() Time { return l.now }
 // useful for cost accounting in tests and benchmarks.
 func (l *Loop) Processed() uint64 { return l.nrun }
 
-// Pending returns the number of scheduled (possibly stopped) events.
-func (l *Loop) Pending() int { return len(l.events) }
+// Pending returns the number of live scheduled events: stopped timers
+// leave the heap immediately and are not counted.
+func (l *Loop) Pending() int { return len(l.heap) }
 
 // AfterFunc schedules fn to run once d has elapsed in virtual time.
 func (l *Loop) AfterFunc(d time.Duration, fn func()) Timer {
@@ -58,31 +65,28 @@ func (l *Loop) at(t Time, fn func()) *event {
 		e = new(event)
 	}
 	l.seq++
-	*e = event{at: t, seq: l.seq, fn: fn, loop: l, idx: -1}
-	heap.Push(&l.events, e)
+	*e = event{seq: l.seq, fn: fn, loop: l}
+	l.heap = append(l.heap, slot{})
+	l.up(len(l.heap)-1, slot{at: t, seq: l.seq, e: e})
 	return e
 }
 
 // Step executes the next pending event, advancing virtual time to its
 // instant. It reports whether an event was executed.
 func (l *Loop) Step() bool {
-	for len(l.events) > 0 {
-		e := heap.Pop(&l.events).(*event)
-		fn, stopped := e.fn, e.stopped
-		e.fn = nil
-		e.loop = nil
-		l.free = append(l.free, e)
-		if stopped {
-			continue
-		}
-		if e.at > l.now {
-			l.now = e.at
-		}
-		l.nrun++
-		fn()
-		return true
+	if len(l.heap) == 0 {
+		return false
 	}
-	return false
+	at, e := l.heap[0].at, l.heap[0].e
+	l.remove(0)
+	fn := e.fn
+	l.recycle(e)
+	if at > l.now {
+		l.now = at
+	}
+	l.nrun++
+	fn()
+	return true
 }
 
 // Run executes events until none remain.
@@ -91,25 +95,10 @@ func (l *Loop) Run() {
 	}
 }
 
-// pruneStopped discards cancelled events sitting at the top of the heap
-// so time-bounded runs never mistake them for runnable work.
-func (l *Loop) pruneStopped() {
-	for len(l.events) > 0 && l.events[0].stopped {
-		e := heap.Pop(&l.events).(*event)
-		e.fn = nil
-		e.loop = nil
-		l.free = append(l.free, e)
-	}
-}
-
 // RunUntil executes every event scheduled at or before t, then advances
 // the clock to t.
 func (l *Loop) RunUntil(t Time) {
-	for {
-		l.pruneStopped()
-		if len(l.events) == 0 || l.events[0].at > t {
-			break
-		}
+	for len(l.heap) > 0 && l.heap[0].at <= t {
 		l.Step()
 	}
 	if t > l.now {
@@ -121,18 +110,93 @@ func (l *Loop) RunUntil(t Time) {
 // advances the clock by exactly d.
 func (l *Loop) RunFor(d time.Duration) { l.RunUntil(l.now.Add(d)) }
 
-// event is a scheduled callback. Cancellation is lazy: Stop marks the
-// event and Step discards marked events when they surface. Event structs
-// are recycled, so Timer handles carry the sequence number they were
-// issued for; a stale handle (its event already ran and was reissued)
-// becomes a no-op instead of cancelling an unrelated event.
+// recycle returns an event that left the heap to the free list.
+func (l *Loop) recycle(e *event) {
+	e.fn = nil
+	e.loop = nil
+	l.free = append(l.free, e)
+}
+
+// slot is one heap entry: an event and its ordering key.
+type slot struct {
+	at  Time
+	seq uint64
+	e   *event
+}
+
+// before orders events by instant, then by scheduling order.
+func (a *slot) before(b *slot) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// up places s at heap index i or above it.
+func (l *Loop) up(i int, s slot) {
+	h := l.heap
+	for i > 0 {
+		p := (i - 1) / 4
+		if !s.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].e.idx = i
+		i = p
+	}
+	h[i] = s
+	s.e.idx = i
+}
+
+// down places s at heap index i or below it.
+func (l *Loop) down(i int, s slot) {
+	h := l.heap
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&s) {
+			break
+		}
+		h[i] = h[m]
+		h[i].e.idx = i
+		i = m
+	}
+	h[i] = s
+	s.e.idx = i
+}
+
+// remove deletes the event at heap index i, refilling the hole with the
+// last event.
+func (l *Loop) remove(i int) {
+	n := len(l.heap) - 1
+	last := l.heap[n]
+	l.heap[n] = slot{}
+	l.heap = l.heap[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(&l.heap[(i-1)/4]) {
+		l.up(i, last)
+	} else {
+		l.down(i, last)
+	}
+}
+
+// event is a scheduled callback. Event structs are recycled, so Timer
+// handles carry the sequence number they were issued for; a stale
+// handle (its event already ran or was stopped, and the struct was
+// reissued) becomes a no-op instead of cancelling an unrelated event.
 type event struct {
-	at      Time
-	seq     uint64
-	fn      func()
-	loop    *Loop
-	idx     int
-	stopped bool
+	seq  uint64
+	fn   func()
+	loop *Loop // nil once the event leaves the heap
+	idx  int   // heap index while pending
 }
 
 type loopTimer struct {
@@ -140,45 +204,14 @@ type loopTimer struct {
 	seq uint64
 }
 
-// Stop implements Timer.
+// Stop implements Timer. It removes a pending event from the heap.
 func (t loopTimer) Stop() bool {
 	e := t.e
-	if e.seq != t.seq || e.loop == nil || e.stopped || e.fn == nil {
+	if e.seq != t.seq || e.loop == nil {
 		return false
 	}
-	e.stopped = true
+	l := e.loop
+	l.remove(e.idx)
+	l.recycle(e)
 	return true
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
 }

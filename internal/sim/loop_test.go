@@ -113,11 +113,11 @@ func TestLoopRunUntil(t *testing.T) {
 	}
 }
 
-// Regression: cancelled timers sitting at the top of the heap must not
-// let a time-bounded run execute events beyond its bound. (TCP rearms
-// its RTO on every segment, so the heap front is usually a pile of
-// stopped timers; the original RunUntil discarded them via Step, which
-// then ran the next live event even if it lay past the bound.)
+// Regression: cancelled timers must not let a time-bounded run execute
+// events beyond its bound. (TCP rearms its RTO on every segment; when
+// cancellation was lazy the heap front was a pile of stopped timers,
+// and the original RunUntil discarded them via Step, which then ran
+// the next live event even if it lay past the bound.)
 func TestLoopRunUntilSkipsStoppedWithoutOvershoot(t *testing.T) {
 	l := NewLoop()
 	for i := 0; i < 100; i++ {
@@ -249,5 +249,35 @@ func BenchmarkLoopScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l.AfterFunc(time.Nanosecond, fn)
 		l.Step()
+	}
+}
+
+// BenchmarkLoopRearm models RTO re-arming at scale: 100k pending
+// timers, one of which is stopped and rescheduled on every event, the
+// way tcp.Conn.armRTO re-arms on every transmitted segment. One op is a
+// full round that re-arms every timer once; no timer ever fires.
+func BenchmarkLoopRearm(b *testing.B) {
+	const timers = 100_000
+	l := NewLoop()
+	fn := func() {}
+	tms := make([]Timer, timers)
+	for i := range tms {
+		tms[i] = l.AfterFunc(200*time.Millisecond, fn)
+	}
+	next := 0
+	var tick func()
+	tick = func() {
+		tms[next].Stop()
+		tms[next] = l.AfterFunc(200*time.Millisecond, fn)
+		next = (next + 1) % timers
+		l.AfterFunc(time.Microsecond, tick)
+	}
+	l.Post(tick)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < timers; j++ {
+			l.Step()
+		}
 	}
 }

@@ -26,8 +26,8 @@ func (c *RealClock) Now() Time { return Time(time.Since(c.start)) }
 // AfterFunc schedules fn after d of wall-clock time.
 //
 // Stop must cancel as deterministically here as it does in the Loop
-// domain, where loopTimer.Stop marks the event dead before the
-// scheduler reaches it. time.Timer.Stop alone cannot give that: once
+// domain, where loopTimer.Stop removes the event from the heap before
+// the scheduler reaches it. time.Timer.Stop alone cannot give that: once
 // the runtime timer fires, its goroutine may already be blocked on
 // c.mu while the serialized callback that is *currently running*
 // decides to Stop it — e.g. an ACK canceling a retransmission timer.
